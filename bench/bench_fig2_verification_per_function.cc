@@ -132,7 +132,7 @@ int main() {
                    spec.detail.c_str());
       return 1;
     }
-    auto& bucket = per_op[std::string("spec:") + SysOpName(call.op)];
+    auto& bucket = per_op[std::string("spec:") + SysOpInfoOf(call.op).name()];
     bucket.first += micros;
     bucket.second += 1;
   }

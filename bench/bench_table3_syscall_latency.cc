@@ -421,8 +421,8 @@ double AllocFree1GHit(std::uint64_t frames) {
 
 struct OpResult {
   std::string op;
-  std::vector<std::uint64_t> frames;
-  std::vector<double> medians;
+  std::vector<std::uint64_t> frames = {};
+  std::vector<double> medians = {};
   bool flat_required = false;
 
   double Growth() const {

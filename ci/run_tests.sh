@@ -79,6 +79,8 @@ if command -v clang++ >/dev/null 2>&1; then
     -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_CXX_FLAGS="-Wthread-safety -Werror=thread-safety" >/dev/null
   cmake --build build-ci-tsafety -j "$JOBS"
+  # The SysOp switch diagnostics must fire under Clang as well as GCC.
+  ctest --test-dir build-ci-tsafety -L compile_fail --output-on-failure
 else
   echo "clang++ not found; skipping (CI lint job runs it)"
 fi

@@ -5,91 +5,12 @@
 #include <vector>
 
 #include "src/obs/flight_recorder.h"
-#include "src/obs/op_names.h"
 #include "src/obs/sampler.h"
 #include "src/pagetable/refinement.h"
 #include "src/vstd/check.h"
 #include "src/vstd/thread_annotations.h"
 
 namespace atmo {
-
-const char* SysOpName(SysOp op) {
-  switch (op) {
-    case SysOp::kYield:
-      return "yield";
-    case SysOp::kMmap:
-      return "mmap";
-    case SysOp::kMunmap:
-      return "munmap";
-    case SysOp::kNewContainer:
-      return "new_container";
-    case SysOp::kNewProcess:
-      return "new_process";
-    case SysOp::kNewThread:
-      return "new_thread";
-    case SysOp::kNewEndpoint:
-      return "new_endpoint";
-    case SysOp::kUnbindEndpoint:
-      return "unbind_endpoint";
-    case SysOp::kSend:
-      return "send";
-    case SysOp::kRecv:
-      return "recv";
-    case SysOp::kCall:
-      return "call";
-    case SysOp::kReply:
-      return "reply";
-    case SysOp::kExit:
-      return "exit";
-    case SysOp::kKillProcess:
-      return "kill_process";
-    case SysOp::kKillContainer:
-      return "kill_container";
-    case SysOp::kIommuCreateDomain:
-      return "iommu_create_domain";
-    case SysOp::kIommuAttachDevice:
-      return "iommu_attach_device";
-    case SysOp::kIommuDetachDevice:
-      return "iommu_detach_device";
-    case SysOp::kIommuMapDma:
-      return "iommu_map_dma";
-    case SysOp::kIommuUnmapDma:
-      return "iommu_unmap_dma";
-    case SysOp::kRingSetup:
-      return "ring_setup";
-    case SysOp::kRingSubmit:
-      return "ring_submit";
-    case SysOp::kRingEnter:
-      return "ring_enter";
-    case SysOp::kGrantReturn:
-      return "grant_return";
-    case SysOp::kObsQuery:
-      return "obs_query";
-  }
-  return "?";
-}
-
-const char* SysErrorName(SysError error) {
-  switch (error) {
-    case SysError::kOk:
-      return "ok";
-    case SysError::kBlocked:
-      return "blocked";
-    case SysError::kNoMemory:
-      return "no-memory";
-    case SysError::kQuotaExceeded:
-      return "quota-exceeded";
-    case SysError::kCapacity:
-      return "capacity";
-    case SysError::kInvalid:
-      return "invalid";
-    case SysError::kDenied:
-      return "denied";
-    case SysError::kWouldFault:
-      return "would-fault";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -183,7 +104,7 @@ SyscallRet Kernel::Step(ThrdPtr t, const Syscall& call) {
   // proof obligation inside throws, so a forensic trace always brackets the
   // failing syscall. RefinementChecker::Step (which calls Dispatch/Exec
   // itself) records the equivalent span on the checked path.
-  obs::ObsSpan span(obs::kCatSyscall, obs::TraceOpLabel(call.op));
+  obs::ObsSpan span(obs::kCatSyscall, SysOpInfoOf(call.op).label);
   Dispatch(t);
   SyscallRet ret = Exec(t, call);
   span.SetResult("error", SysErrorName(ret.error));
@@ -1080,7 +1001,7 @@ SyscallRet Kernel::SysRingSubmit(ThrdPtr t, const Syscall& call) {
   if (ring.owner() != t) {
     return Err(SysError::kDenied);
   }
-  if (!RingSubmittable(call.ring_op)) {
+  if (!SysOpInfoOf(call.ring_op).ring_submittable) {
     return Err(SysError::kInvalid);
   }
   if (ring.SqFull()) {

@@ -64,16 +64,6 @@ struct RingCqEntry {
   friend bool operator==(const RingCqEntry&, const RingCqEntry&) = default;
 };
 
-// Which ops may be deferred onto a ring. Excluded, deliberately:
-//   * blocking IPC (kSend/kRecv/kCall/kReply) — a CQ entry cannot represent
-//     a thread parked on an endpoint;
-//   * kYield — scheduling from inside a batch is meaningless (the batch
-//     already runs with the owner on the CPU);
-//   * kExit / kKillProcess / kKillContainer — could remove the draining
-//     thread (or the ring's owner) mid-batch;
-//   * ring ops themselves — no nesting.
-bool RingSubmittable(SysOp op);
-
 // The deferred call carried by a kRingSubmit record: the same register file
 // with `op := ring_op` and the ring fields cleared. Shared by the kernel
 // (what it executes at drain) and the spec (what it expects in the SQ) so

@@ -26,8 +26,8 @@ struct AbvScenario {
   ProcPtr a_proc = kNullPtr;
   ProcPtr b_proc = kNullPtr;
   ProcPtr v_proc = kNullPtr;
-  std::vector<ThrdPtr> a_threads;
-  std::vector<ThrdPtr> b_threads;
+  std::vector<ThrdPtr> a_threads = {};
+  std::vector<ThrdPtr> b_threads = {};
   ThrdPtr v_thread = kNullPtr;
   EdptPtr e_av = kNullPtr;
   EdptPtr e_bv = kNullPtr;

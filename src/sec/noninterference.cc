@@ -10,48 +10,11 @@ namespace atmo {
 
 namespace {
 
-// Object-creating syscalls return fresh kernel addresses, whose values
-// depend on allocator placement — a channel the paper's model excludes by
-// construction (cf. Hyperkernel's caller-chosen handles). For OC/SC return
-// comparison, such values are compared as "created vs not created" only.
-bool ReturnsObjectPointer(SysOp op) {
-  switch (op) {
-    case SysOp::kNewContainer:
-    case SysOp::kNewProcess:
-    case SysOp::kNewThread:
-    case SysOp::kNewEndpoint:
-    case SysOp::kIommuCreateDomain:
-    case SysOp::kRingSetup:  // fresh ring id: global-counter shaped
-      return true;
-    case SysOp::kYield:
-    case SysOp::kMmap:
-    case SysOp::kMunmap:
-    case SysOp::kUnbindEndpoint:
-    case SysOp::kSend:
-    case SysOp::kRecv:
-    case SysOp::kCall:
-    case SysOp::kReply:
-    case SysOp::kExit:
-    case SysOp::kKillProcess:
-    case SysOp::kKillContainer:
-    case SysOp::kIommuAttachDevice:
-    case SysOp::kIommuDetachDevice:
-    case SysOp::kIommuMapDma:
-    case SysOp::kIommuUnmapDma:
-    case SysOp::kRingSubmit:
-    case SysOp::kRingEnter:
-    case SysOp::kGrantReturn:
-    case SysOp::kObsQuery:  // returns sizeof(ObsQueryRecord): a constant
-      return false;
-  }
-  return false;
-}
-
 bool RetEquivalent(SysOp op, const SyscallRet& x, const SyscallRet& y) {
   if (x.error != y.error) {
     return false;
   }
-  if (ReturnsObjectPointer(op)) {
+  if (SysOpInfoOf(op).returns_object_pointer) {
     return (x.value == 0) == (y.value == 0);
   }
   return x.value == y.value;

@@ -94,7 +94,7 @@ struct AbsPageInfo {
   CtnrPtr owner = kNullPtr;
   std::uint32_t map_count = 0;
   bool borrowed = false;  // exactly when `borrow` is meaningful
-  AbsPageBorrow borrow;
+  AbsPageBorrow borrow = {};
 
   friend bool operator==(const AbsPageInfo&, const AbsPageInfo&) = default;
 };

@@ -67,8 +67,16 @@ SpecResult KillProcessSpec(const AbstractKernel& pre, const AbstractKernel& post
                            const Syscall& call, const SyscallRet& ret);
 SpecResult KillContainerSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                              const Syscall& call, const SyscallRet& ret);
-SpecResult IommuSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
-                     const Syscall& call, const SyscallRet& ret);
+SpecResult IommuCreateDomainSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                                 ThrdPtr t, const SyscallRet& ret);
+// kIommuAttachDevice and kIommuDetachDevice: one device moves into or out of
+// one domain's device set; memory state is untouched.
+SpecResult IommuDeviceSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                           const Syscall& call, const SyscallRet& ret);
+SpecResult IommuMapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                           const Syscall& call, const SyscallRet& ret);
+SpecResult IommuUnmapDmaSpec(const AbstractKernel& pre, const AbstractKernel& post,
+                             const Syscall& call, const SyscallRet& ret);
 SpecResult RingSetupSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,
                          const Syscall& call, const SyscallRet& ret);
 SpecResult RingSubmitSpec(const AbstractKernel& pre, const AbstractKernel& post, ThrdPtr t,

@@ -6,7 +6,6 @@
 
 #include "src/obs/alloc_hook.h"
 #include "src/obs/flight_recorder.h"
-#include "src/obs/op_names.h"
 #include "src/spec/frame_profile.h"
 #include "src/vstd/check.h"
 #include "src/vstd/thread_annotations.h"
@@ -76,7 +75,8 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
   obs::AllocProbe heap_probe;
   // Flight-recorder span for the whole checked syscall; the trailing 'E'
   // event carries the error name (or closes bare on a check violation).
-  obs::ObsSpan sys_span(obs::kCatSyscall, obs::TraceOpLabel(call.op));
+  const SysOpInfo op_info = SysOpInfoOf(call.op);
+  obs::ObsSpan sys_span(obs::kCatSyscall, op_info.label);
   AbstractKernel pre = Capture();
   cached_ = pre;
   kernel_->Dispatch(t);
@@ -104,17 +104,17 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
     ArenaScope arena_scope(ActiveArenaRef());
     return SyscallSpec(mid, *cached_, t, call, ret);
   }();
-  // The declarative frame-condition table (frame_profile.h) is checked in
-  // the same pass: components outside the op's profile must be untouched.
+  // The op's declarative frame profile (its SysOpInfo row) is checked in
+  // the same pass: components outside the profile must be untouched.
   std::string frame = [&] {
     ATMO_OBS_SPAN(obs::kCatCheck, "check.frame");
     ArenaScope arena_scope(ActiveArenaRef());
-    return FrameProfileViolation(mid, *cached_, FrameProfileFor(call.op));
+    return FrameProfileViolation(mid, *cached_, op_info.frame);
   }();
   stats_.spec_ns += NowNs() - t0;
-  ATMO_CHECK(spec.ok, std::string("syscall refinement failed (") + SysOpName(call.op) +
+  ATMO_CHECK(spec.ok, std::string("syscall refinement failed (") + op_info.name() +
                           ", ret " + SysErrorName(ret.error) + "): " + spec.detail);
-  ATMO_CHECK(frame.empty(), std::string("frame profile violated (") + SysOpName(call.op) +
+  ATMO_CHECK(frame.empty(), std::string("frame profile violated (") + op_info.name() +
                                 ", ret " + SysErrorName(ret.error) +
                                 "): out-of-frame component changed: " + frame);
 
@@ -138,7 +138,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
     }();
     stats_.wf_ns += NowNs() - t0;
     ++stats_.wf_checks;
-    ATMO_CHECK(wf.ok, std::string("total_wf failed after ") + SysOpName(call.op) + ": " +
+    ATMO_CHECK(wf.ok, std::string("total_wf failed after ") + op_info.name() + ": " +
                           wf.detail);
   }
   if (options_.incremental && options_.audit_every != 0 &&
@@ -168,7 +168,7 @@ SyscallRet RefinementChecker::Step(ThrdPtr t, const Syscall& call)
     stats_.audit_ns += NowNs() - t0;
     ++stats_.audit_passes;
     ATMO_CHECK(agree, std::string("incremental-abstraction audit failed after ") +
-                          SysOpName(call.op) + ": cached Ψ diverged from Abstract()");
+                          op_info.name() + ": cached Ψ diverged from Abstract()");
   }
   stats_.heap_allocs += heap_probe.allocs();
   if (arenas_[0] != nullptr) {

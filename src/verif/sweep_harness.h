@@ -27,17 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "src/core/syscall.h"
 #include "src/obs/trace_event.h"
 #include "src/verif/refinement_checker.h"
 #include "src/verif/trace_gen.h"
 #include "src/vstd/thread_annotations.h"
 
 namespace atmo {
-
-inline constexpr std::size_t kSysOpCount =
-    static_cast<std::size_t>(SysOp::kObsQuery) + 1;
-inline constexpr std::size_t kSysErrorCount =
-    static_cast<std::size_t>(SysError::kWouldFault) + 1;
 
 // Syscall-op × error-code hit counts: which regions of the verified surface
 // a sweep actually exercised (both success and every error path).

@@ -101,7 +101,7 @@ TEST(IncrementalRefinementTest, DifferentialSweepAgreesWithFullRebuild) {
     SyscallRet r_inc = inc.Step(t_inc, cmd.call);
     SyscallRet r_full = full.Step(t_full, cmd.call);
     ASSERT_EQ(r_inc.error, r_full.error) << "step " << i << " op "
-                                         << SysOpName(cmd.call.op);
+                                         << SysOpInfoOf(cmd.call.op).name();
     gen.Observe(cmd.call, r_inc);
 
     // Drain pending inbound payloads so rendezvous can repeat.

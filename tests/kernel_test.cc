@@ -534,6 +534,45 @@ TEST_F(KernelTest, KillContainerRequiresAncestry) {
 }
 
 // ---------------------------------------------------------------------------
+// Out-of-range op values: the row table's fallback row
+// ---------------------------------------------------------------------------
+
+// A SysOp value past the last enumerator (a hostile register file) must
+// land on the fallback row — never read past the table — and the kernel
+// must reject it without touching Ψ, directly or deferred through a ring.
+TEST_F(KernelTest, OutOfRangeSysOpFallsBackToSafeRow) {
+  for (SysOp op : {static_cast<SysOp>(kSysOpCount), static_cast<SysOp>(255)}) {
+    SCOPED_TRACE(static_cast<int>(op));
+    SysOpInfo info = SysOpInfoOf(op);
+    EXPECT_FALSE(info.known);
+    EXPECT_STREQ(info.name(), "?");
+    EXPECT_STREQ(info.label, "sys.unknown");
+    EXPECT_FALSE(info.returns_object_pointer);
+    EXPECT_FALSE(info.ring_submittable);
+    // The widest profile, so the runtime frame check never under-approximates.
+    const FrameProfile& f = info.frame;
+    EXPECT_TRUE(f.threads && f.containers && f.procs && f.endpoints && f.address_spaces &&
+                f.pages && f.free_sets && f.iommu && f.rings && f.scheduler);
+
+    kernel_->Dispatch(thrd_);
+    AbstractKernel before = kernel_->Abstract();
+    EXPECT_EQ(kernel_->Step(thrd_, MakeOp(op)).error, SysError::kInvalid);
+    EXPECT_TRUE(kernel_->Abstract() == before);
+
+    Syscall setup = MakeOp(SysOp::kRingSetup);
+    setup.ring_entries = 4;
+    SyscallRet ring = kernel_->Step(thrd_, setup);
+    ASSERT_EQ(ring.error, SysError::kOk);
+    Syscall submit = MakeOp(SysOp::kRingSubmit);
+    submit.ring_id = ring.value;
+    submit.ring_op = op;
+    before = kernel_->Abstract();
+    EXPECT_EQ(kernel_->Step(thrd_, submit).error, SysError::kInvalid);
+    EXPECT_TRUE(kernel_->Abstract() == before);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // IOMMU
 // ---------------------------------------------------------------------------
 

@@ -341,19 +341,19 @@ TEST(FrameProfileTest, TablePropertiesHold) {
   // Yield must not be able to touch memory; kills must be able to touch
   // object state; nothing less than KillContainer may touch the IOMMU
   // besides IPC delegation and the IOMMU calls themselves.
-  EXPECT_FALSE(FrameProfileFor(SysOp::kYield).pages);
-  EXPECT_FALSE(FrameProfileFor(SysOp::kMmap).threads);
-  EXPECT_FALSE(FrameProfileFor(SysOp::kKillProcess).iommu);
-  EXPECT_TRUE(FrameProfileFor(SysOp::kKillContainer).iommu);
-  EXPECT_TRUE(FrameProfileFor(SysOp::kSend).iommu);  // domain delegation
-  EXPECT_FALSE(FrameProfileFor(SysOp::kIommuAttachDevice).pages);
+  EXPECT_FALSE(SysOpInfoOf(SysOp::kYield).frame.pages);
+  EXPECT_FALSE(SysOpInfoOf(SysOp::kMmap).frame.threads);
+  EXPECT_FALSE(SysOpInfoOf(SysOp::kKillProcess).frame.iommu);
+  EXPECT_TRUE(SysOpInfoOf(SysOp::kKillContainer).frame.iommu);
+  EXPECT_TRUE(SysOpInfoOf(SysOp::kSend).frame.iommu);  // domain delegation
+  EXPECT_FALSE(SysOpInfoOf(SysOp::kIommuAttachDevice).frame.pages);
 
   // Every op that can allocate must also be allowed to change the free
   // sets and the page map together (allocation moves a page between them).
   for (SysOp op : {SysOp::kMmap, SysOp::kNewContainer, SysOp::kNewProcess, SysOp::kNewThread,
                    SysOp::kNewEndpoint, SysOp::kIommuCreateDomain, SysOp::kIommuMapDma}) {
-    EXPECT_EQ(FrameProfileFor(op).pages, FrameProfileFor(op).free_sets)
-        << "op " << SysOpName(op);
+    EXPECT_EQ(SysOpInfoOf(op).frame.pages, SysOpInfoOf(op).frame.free_sets)
+        << "op " << SysOpInfoOf(op).name();
   }
 }
 

@@ -40,7 +40,7 @@ TEST(InvariantRegistryTest, TimingIsPopulated) {
   reg.Register("busy", [](const Kernel&) {
     volatile std::uint64_t x = 0;
     for (int i = 0; i < 100000; ++i) {
-      x += static_cast<std::uint64_t>(i);
+      x = x + static_cast<std::uint64_t>(i);
     }
     return InvResult{};
   });

@@ -59,26 +59,14 @@ struct Subsystem {
 
 const std::vector<Subsystem>& Subsystems();
 
-struct SpecLocation {
-  std::string file;
-  std::string function;  // empty = whole file
-};
-
-void CheckSysOpCoverage(const Options& options, std::vector<Finding>* findings,
-                        const std::string& rule,
-                        const std::vector<SpecLocation>& locations);
-
 // ---------------------------------------------------------------------------
 // Rule entry points
 // ---------------------------------------------------------------------------
 
 // Per-tree rules loading their own inputs.
-void RuleSpecCoverage(const Options& options, std::vector<Finding>* findings);
-void RuleTraceOpName(const Options& options, std::vector<Finding>* findings);
 void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings);
 
 // Per-file rules (driver iterates the tree).
-void RuleSysOpSwitchDefault(const SourceFile& f, std::vector<Finding>* findings);
 void RuleErrorPath(const SourceFile& f, std::vector<Finding>* findings);
 
 // Call-graph rules.

@@ -289,41 +289,6 @@ std::optional<Range> FunctionBody(const SourceFile& f, const std::string& func) 
   return std::nullopt;
 }
 
-std::vector<std::string> ParseEnumerators(const SourceFile& f, const std::string& enum_name) {
-  std::vector<std::string> out;
-  for (std::size_t pos : FindIdent(f.code, enum_name)) {
-    std::size_t i = pos + enum_name.size();
-    while (i < f.code.size() && f.code[i] != '{' && f.code[i] != ';') {
-      ++i;
-    }
-    if (i >= f.code.size() || f.code[i] != '{') {
-      continue;
-    }
-    std::size_t close = MatchBrace(f.code, i);
-    if (close == std::string::npos) {
-      continue;
-    }
-    std::size_t item_start = i + 1;
-    for (std::size_t j = i + 1; j < close; ++j) {
-      if (f.code[j] == ',' || f.code[j] == '}') {
-        std::size_t k = SkipWs(f.code, item_start);
-        std::size_t e = k;
-        while (e < j && IsIdentChar(f.code[e])) {
-          ++e;
-        }
-        if (e > k) {
-          out.push_back(f.code.substr(k, e - k));
-        }
-        item_start = j + 1;
-      }
-    }
-    if (!out.empty()) {
-      return out;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> TreeFiles(const std::string& root) {
   std::vector<std::string> out;
   fs::path src = fs::path(root) / "src";

@@ -63,9 +63,6 @@ std::optional<Range> ClassBody(const SourceFile& f, const std::string& name);
 // includes the braces: [pos of '{', one past '}').
 std::optional<Range> FunctionBody(const SourceFile& f, const std::string& func);
 
-// Enumerators of `enum class name { ... }`.
-std::vector<std::string> ParseEnumerators(const SourceFile& f, const std::string& enum_name);
-
 // All .cc/.h files under root/src, sorted, repo-root-relative.
 std::vector<std::string> TreeFiles(const std::string& root);
 
