@@ -1,5 +1,7 @@
 #include "src/core/syscall_ring.h"
 
+#include "src/vstd/sorted_refill.h"
+
 namespace atmo {
 
 Syscall RingInnerCall(const Syscall& submit) {
@@ -108,9 +110,10 @@ SyscallRingTable SyscallRingTable::CloneForVerification() const {
 }
 
 void SyscallRingTable::CloneForVerificationInto(SyscallRingTable* out) const {
-  // Map copy-assign reuses the destination's nodes (libstdc++
-  // _Reuse_or_alloc_node) and each SyscallRing's queue capacity.
-  out->rings_ = rings_;
+  // Not a map copy-assign: that reuses the nodes but rebuilds each value,
+  // reallocating both queues of every ring. Copy-assigning the rings in
+  // place reuses the queues' capacity.
+  RefillSorted(rings_, &out->rings_, [](const SyscallRing& from, SyscallRing* to) { *to = from; });
   out->next_id_ = next_id_;
   out->dirty_.Reset();  // clones start with an empty mutation log
 }

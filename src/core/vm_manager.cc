@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/vstd/check.h"
+#include "src/vstd/sorted_refill.h"
 
 namespace atmo {
 
@@ -24,26 +25,23 @@ constexpr int LeafLevel(PageSize size) {
 }  // namespace
 
 PageTable* VmManager::FindTable(ProcPtr proc) {
-  auto it = table_index_.find(proc);
-  return it == table_index_.end() ? nullptr : it->second;
+  auto it = tables_.find(proc);
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 const PageTable* VmManager::FindTable(ProcPtr proc) const {
-  auto it = table_index_.find(proc);
-  return it == table_index_.end() ? nullptr : it->second;
+  auto it = tables_.find(proc);
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 bool VmManager::CreateAddressSpace(PageAllocator* alloc, ProcPtr proc, CtnrPtr owner) {
-  ATMO_CHECK(table_index_.count(proc) == 0, "address space already exists for process");
+  ATMO_CHECK(tables_.count(proc) == 0, "address space already exists for process");
   std::optional<PageTable> table = PageTable::New(mem_, alloc, owner);
   if (!table.has_value()) {
     return false;
   }
   // averif-lint: allow(hot-path-alloc) — address-space creation is a cold spawn-path op
-  auto [it, inserted] = tables_.emplace(proc, std::move(*table));
-  ATMO_CHECK(inserted, "tables_ and table_index_ out of lockstep");
-  // averif-lint: allow(hot-path-alloc) — address-space creation is a cold spawn-path op
-  table_index_.emplace(proc, &it->second);
+  tables_.emplace(proc, std::move(*table));
   dirty_.Mark(proc);
   return true;
 }
@@ -68,7 +66,6 @@ VmManager::DestroyStats VmManager::DestroyAddressSpace(PageAllocator* alloc, Pro
   }
   stats.table_nodes = table->PageClosure().size();
   table->Destroy(alloc);
-  table_index_.erase(proc);
   tables_.erase(proc);
   return stats;
 }
@@ -253,17 +250,6 @@ SpecSet<PagePtr> VmManager::HeldFrames() const {
 }
 
 bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
-  // The hashed index mirrors tables_ exactly: same domain, and every entry
-  // points at the authoritative map node.
-  if (table_index_.size() != tables_.size()) {
-    return false;
-  }
-  for (const auto& [proc, table] : tables_) {
-    auto it = table_index_.find(proc);
-    if (it == table_index_.end() || it->second != &table) {
-      return false;
-    }
-  }
   // Per-table structural invariants.
   for (const auto& [proc, table] : tables_) {
     if (!table.StructureWf(mem)) {
@@ -308,56 +294,12 @@ bool VmManager::Wf(const PhysMem& mem, const PageAllocator& alloc) const {
   return true;
 }
 
-VmManager VmManager::CloneForVerification(PhysMem* mem) const {
-  VmManager out(mem);
-  for (const auto& [proc, table] : tables_) {
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture; steady state uses CloneForVerificationInto over pooled state
-    auto [it, inserted] = out.tables_.emplace(proc, table.CloneForVerification(mem));
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture (see above)
-    out.table_index_.emplace(proc, &it->second);
-  }
-  for (const auto& [page, perm] : frame_perms_) {
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture (see above)
-    out.frame_perms_.emplace(page, perm.CloneForVerification());
-  }
-  out.borrows_ = borrows_;
-  return out;
-}
-
 void VmManager::CloneForVerificationInto(VmManager* out, PhysMem* mem) const {
   out->mem_ = mem;
-  // Sorted merge walk: per-table pooled clones into reused map nodes.
-  auto dit = out->tables_.begin();
-  for (const auto& [proc, table] : tables_) {
-    while (dit != out->tables_.end() && dit->first < proc) {
-      dit = out->tables_.erase(dit);
-    }
-    if (dit != out->tables_.end() && dit->first == proc) {
-      table.CloneForVerificationInto(&dit->second, mem);
-      ++dit;
-    } else {
-      // averif-lint: allow(hot-path-alloc) — emplace_hint refills a recycled node from the pool; allocates only when live state grew past the pooled high-water mark
-      dit = out->tables_.emplace_hint(dit, proc, PageTable());
-      table.CloneForVerificationInto(&dit->second, mem);
-      ++dit;
-    }
-  }
-  out->tables_.erase(dit, out->tables_.end());
-  // Rebuild the hashed lockstep index (table_index_) against the reused
-  // nodes. Prune-then-upsert instead of clear()+emplace: clear() destroys
-  // the nodes (only the bucket array survives), so re-emplacing would pay
-  // one allocation per entry on every refill; overwriting existing keys in
-  // place is allocation-free at steady state.
-  for (auto iit = out->table_index_.begin(); iit != out->table_index_.end();) {
-    if (out->tables_.find(iit->first) == out->tables_.end()) {
-      iit = out->table_index_.erase(iit);
-    } else {
-      ++iit;
-    }
-  }
-  for (auto& [proc, table] : out->tables_) {
-    out->table_index_[proc] = &table;
-  }
+  // Per-table pooled clones into the reused map nodes.
+  RefillSorted(tables_, &out->tables_, [mem](const PageTable& from, PageTable* to) {
+    from.CloneForVerificationInto(to, mem);
+  });
   // frame_perms_ is hashed: erase stale keys, overwrite or insert the rest.
   for (auto fit = out->frame_perms_.begin(); fit != out->frame_perms_.end();) {
     if (frame_perms_.find(fit->first) == frame_perms_.end()) {
@@ -375,23 +317,9 @@ void VmManager::CloneForVerificationInto(VmManager* out, PhysMem* mem) const {
       out->frame_perms_.emplace(page, perm.CloneForVerification());
     }
   }
-  // Borrow records are PODs: sorted merge like tables_, so steady-state
-  // refills overwrite nodes in place instead of reallocating them.
-  auto bdit = out->borrows_.begin();
-  for (const auto& [page, rec] : borrows_) {
-    while (bdit != out->borrows_.end() && bdit->first < page) {
-      bdit = out->borrows_.erase(bdit);
-    }
-    if (bdit != out->borrows_.end() && bdit->first == page) {
-      bdit->second = rec;
-      ++bdit;
-    } else {
-      // averif-lint: allow(hot-path-alloc) — emplace_hint refills recycled mapping nodes; allocation only on growth past the pooled high-water mark
-      bdit = out->borrows_.emplace_hint(bdit, page, rec);
-      ++bdit;
-    }
-  }
-  out->borrows_.erase(bdit, out->borrows_.end());
+  // Borrow records are plain data: map copy-assign reuses the destination's
+  // nodes (libstdc++ _Reuse_or_alloc_node).
+  out->borrows_ = borrows_;
   out->dirty_.Reset();  // clones start with an empty mutation log
 }
 

@@ -46,7 +46,7 @@ class VmManager {
   };
   DestroyStats DestroyAddressSpace(PageAllocator* alloc, ProcPtr proc);
 
-  bool HasAddressSpace(ProcPtr proc) const { return table_index_.count(proc) != 0; }
+  bool HasAddressSpace(ProcPtr proc) const { return tables_.count(proc) != 0; }
   const PageTable& TableOf(ProcPtr proc) const;
   SpecMap<VAddr, MapEntry> AddressSpaceOf(ProcPtr proc) const;
   std::optional<MapEntry> Resolve(ProcPtr proc, VAddr va) const;
@@ -138,23 +138,19 @@ class VmManager {
   // frames are tracked by the page allocator's own dirty log.
   void DrainDirtyInto(std::set<ProcPtr>* out, bool* overflow) { dirty_.DrainInto(out, overflow); }
 
-  VmManager CloneForVerification(PhysMem* mem) const;
-  // Pooled clone: overwrite `out` in place, reusing its table map nodes,
-  // per-table storage, and index buckets (DESIGN.md §14).
+  // Clone for the verification harness: overwrite `out` in place, reusing
+  // its table map nodes and per-table storage (DESIGN.md §14).
   void CloneForVerificationInto(VmManager* out, PhysMem* mem) const;
 
  private:
-  // Hashed-index lookups used by every syscall; nullptr when absent.
+  // Address-space lookups used by every syscall; nullptr when absent.
   PageTable* FindTable(ProcPtr proc);
   const PageTable* FindTable(ProcPtr proc) const;
 
   PhysMem* mem_;
+  // Ordered and small (one entry per live process): a lookup is a few
+  // compares.
   std::map<ProcPtr, PageTable> tables_;
-  // Hashed proc -> table index, maintained in lockstep with tables_ by
-  // CreateAddressSpace/DestroyAddressSpace (its only mutation points).
-  // std::map nodes are pointer-stable, so the raw pointers stay valid until
-  // the entry itself is erased. Wf() cross-checks index vs tables_.
-  std::unordered_map<ProcPtr, PageTable*> table_index_;
   // Flat: all mapped user frames. Hashed — only ever probed by frame base.
   std::unordered_map<PagePtr, FramePerm> frame_perms_;
   // Live read-only borrows, one per page. Every entry matches two live

@@ -4,17 +4,18 @@
 #include <vector>
 
 #include "src/vstd/check.h"
+#include "src/vstd/sorted_refill.h"
 
 namespace atmo {
 
 PageTable* IommuManager::FindDomain(IommuDomainId domain) {
-  auto it = domain_index_.find(domain);
-  return it == domain_index_.end() ? nullptr : it->second;
+  auto it = domains_.find(domain);
+  return it == domains_.end() ? nullptr : &it->second;
 }
 
 const PageTable* IommuManager::FindDomain(IommuDomainId domain) const {
-  auto it = domain_index_.find(domain);
-  return it == domain_index_.end() ? nullptr : it->second;
+  auto it = domains_.find(domain);
+  return it == domains_.end() ? nullptr : &it->second;
 }
 
 IommuDomainId IommuManager::CreateDomain(PageAllocator* alloc, CtnrPtr ctnr) {
@@ -24,10 +25,7 @@ IommuDomainId IommuManager::CreateDomain(PageAllocator* alloc, CtnrPtr ctnr) {
   }
   IommuDomainId id = next_domain_++;
   // averif-lint: allow(hot-path-alloc) — IOMMU domain creation is a cold control-plane op
-  auto [it, inserted] = domains_.emplace(id, std::move(*table));
-  ATMO_CHECK(inserted, "domains_ and domain_index_ out of lockstep");
-  // averif-lint: allow(hot-path-alloc) — IOMMU domain creation is a cold control-plane op
-  domain_index_.emplace(id, &it->second);
+  domains_.emplace(id, std::move(*table));
   dirty_.Mark(id);
   return id;
 }
@@ -47,7 +45,6 @@ void IommuManager::DestroyDomain(PageAllocator* alloc, IommuDomainId domain) {
     table->Unmap(iova);
   }
   table->Destroy(alloc);
-  domain_index_.erase(domain);
   domains_.erase(domain);
   owner_overrides_.erase(domain);
   dirty_.Mark(domain);
@@ -177,17 +174,6 @@ std::uint64_t IommuManager::FreshNodesForDma(IommuDomainId domain, VAddr iova,
 }
 
 bool IommuManager::Wf() const {
-  // The hashed index mirrors domains_ exactly: same domain set, and every
-  // entry points at the authoritative map node.
-  if (domain_index_.size() != domains_.size()) {
-    return false;
-  }
-  for (const auto& [id, table] : domains_) {
-    auto it = domain_index_.find(id);
-    if (it == domain_index_.end() || it->second != &table) {
-      return false;
-    }
-  }
   for (const auto& [id, table] : domains_) {
     if (!table.StructureWf(*mem_)) {
       return false;
@@ -209,56 +195,15 @@ bool IommuManager::Wf() const {
   return true;
 }
 
-IommuManager IommuManager::CloneForVerification(PhysMem* mem) const {
-  IommuManager out(mem);
-  out.next_domain_ = next_domain_;
-  for (const auto& [id, table] : domains_) {
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture; steady state uses CloneForVerificationInto over pooled state
-    auto [it, inserted] = out.domains_.emplace(id, table.CloneForVerification(mem));
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture (see above)
-    out.domain_index_.emplace(id, &it->second);
-  }
-  out.device_domains_ = device_domains_;
-  out.owner_overrides_ = owner_overrides_;
-  return out;
-}
-
 void IommuManager::CloneForVerificationInto(IommuManager* out, PhysMem* mem) const {
   out->mem_ = mem;
   out->mmu_ = Mmu(mem);
   out->next_domain_ = next_domain_;
-  // Sorted merge walk: per-domain pooled table clones into reused nodes.
-  auto dit = out->domains_.begin();
-  for (const auto& [id, table] : domains_) {
-    while (dit != out->domains_.end() && dit->first < id) {
-      dit = out->domains_.erase(dit);
-    }
-    if (dit != out->domains_.end() && dit->first == id) {
-      table.CloneForVerificationInto(&dit->second, mem);
-      ++dit;
-    } else {
-      // averif-lint: allow(hot-path-alloc) — emplace_hint refills recycled domain nodes; allocation only on growth past the pooled high-water mark
-      dit = out->domains_.emplace_hint(dit, id, PageTable());
-      table.CloneForVerificationInto(&dit->second, mem);
-      ++dit;
-    }
-  }
-  out->domains_.erase(dit, out->domains_.end());
-  // Rebuild the hashed lockstep index (domain_index_) against the reused
-  // nodes. Prune-then-upsert: clear()+emplace would destroy and reallocate
-  // every index node per refill; overwriting live keys in place keeps the
-  // steady-state refill allocation-free. owner_overrides_ copy-assign
-  // reuses destination nodes.
-  for (auto iit = out->domain_index_.begin(); iit != out->domain_index_.end();) {
-    if (out->domains_.find(iit->first) == out->domains_.end()) {
-      iit = out->domain_index_.erase(iit);
-    } else {
-      ++iit;
-    }
-  }
-  for (auto& [id, table] : out->domains_) {
-    out->domain_index_[id] = &table;
-  }
+  // Per-domain pooled table clones into the reused map nodes. The plain-data
+  // maps below copy-assign, which reuses the destination's nodes.
+  RefillSorted(domains_, &out->domains_, [mem](const PageTable& from, PageTable* to) {
+    from.CloneForVerificationInto(to, mem);
+  });
   out->device_domains_ = device_domains_;
   out->owner_overrides_ = owner_overrides_;
   out->dirty_.Reset();  // clones start with an empty mutation log

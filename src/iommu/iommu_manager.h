@@ -50,7 +50,7 @@ class IommuManager {
   // frees the table pages.
   void DestroyDomain(PageAllocator* alloc, IommuDomainId domain);
 
-  bool DomainExists(IommuDomainId domain) const { return domain_index_.count(domain) != 0; }
+  bool DomainExists(IommuDomainId domain) const { return domains_.count(domain) != 0; }
   CtnrPtr DomainOwner(IommuDomainId domain) const;
   // Re-attributes a domain (container kill harvesting / IPC delegation).
   void SetDomainOwner(IommuDomainId domain, CtnrPtr ctnr);
@@ -96,25 +96,20 @@ class IommuManager {
   MapError CanMapDma(IommuDomainId domain, VAddr iova, PageSize size) const;
   std::uint64_t FreshNodesForDma(IommuDomainId domain, VAddr iova, PageSize size) const;
 
-  IommuManager CloneForVerification(PhysMem* mem) const;
-  // Pooled clone: overwrite `out` in place, reusing its domain map nodes,
-  // per-table storage, and index buckets (DESIGN.md §14).
+  // Clone for the verification harness: overwrite `out` in place, reusing
+  // its domain map nodes and per-table storage (DESIGN.md §14).
   void CloneForVerificationInto(IommuManager* out, PhysMem* mem) const;
 
  private:
-  // Hashed-index lookups used by every DMA syscall; nullptr when absent.
+  // Domain lookups used by every DMA syscall; nullptr when absent.
   PageTable* FindDomain(IommuDomainId domain);
   const PageTable* FindDomain(IommuDomainId domain) const;
 
   PhysMem* mem_;
   Mmu mmu_;
   IommuDomainId next_domain_ = 1;
+  // Ordered and small (tens of live domains): a lookup is a few compares.
   std::map<IommuDomainId, PageTable> domains_;
-  // Hashed domain -> table index, maintained in lockstep with domains_ by
-  // CreateDomain/DestroyDomain (its only mutation points). std::map nodes
-  // are pointer-stable, so the raw pointers stay valid until the entry is
-  // erased. Wf() cross-checks index vs domains_.
-  std::unordered_map<IommuDomainId, PageTable*> domain_index_;
   std::map<DeviceId, IommuDomainId> device_domains_;
   // Ownership re-attribution after container kills / delegation; overrides
   // the creating table's owner tag. Hashed — only ever probed by domain id.

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/vstd/check.h"
+#include "src/vstd/sorted_refill.h"
 
 namespace atmo {
 
@@ -382,50 +383,14 @@ void PageTable::Destroy(PageAllocator* alloc) {
   cr3_ = kNullPtr;
 }
 
-PageTable PageTable::CloneForVerification(PhysMem* mem) const {
-  PageTable out(mem, cr3_, node_perms_.at(cr3_).CloneForVerification(), owner_);
-  // The private constructor zeroes the root frame in `mem`; for a clone the
-  // caller passes a PhysMem snapshot, so restore is unnecessary only if the
-  // snapshot was taken after construction. To keep this safe, copy the root
-  // bytes back from our own memory image.
-  for (std::uint64_t index = 0; index < kPtEntriesPerNode; ++index) {
-    mem->HwWriteU64(cr3_ + index * 8, mem_->HwReadU64(cr3_ + index * 8));
-  }
-  out.node_perms_.clear();
-  for (const auto& [addr, perm] : node_perms_) {
-    // averif-lint: allow(hot-path-alloc) — fresh-clone path runs only on first capture; steady state uses CloneForVerificationInto over pooled state
-    out.node_perms_.emplace(addr, perm.CloneForVerification());
-  }
-  out.node_info_ = node_info_;
-  out.map_4k_ = map_4k_;
-  out.map_2m_ = map_2m_;
-  out.map_1g_ = map_1g_;
-  out.va_index_ = va_index_;
-  return out;
-}
-
 void PageTable::CloneForVerificationInto(PageTable* out, PhysMem* mem) const {
   out->mem_ = mem;
   out->cr3_ = cr3_;
   out->owner_ = owner_;
-  // Sorted merge walk over the node-permission map: overwrite common
-  // entries in place (FramePerm move-assign into the reused node), erase
-  // stale ones, insert missing ones with a hint. Steady-state reuse
-  // performs no node allocations.
-  auto dit = out->node_perms_.begin();
-  for (const auto& [addr, perm] : node_perms_) {
-    while (dit != out->node_perms_.end() && dit->first < addr) {
-      dit = out->node_perms_.erase(dit);
-    }
-    if (dit != out->node_perms_.end() && dit->first == addr) {
-      dit->second = perm.CloneForVerification();
-      ++dit;
-    } else {
-      // averif-lint: allow(hot-path-alloc) — emplace_hint refills recycled page-table nodes; allocation only on growth past the pooled high-water mark
-      out->node_perms_.emplace_hint(dit, addr, perm.CloneForVerification());
-    }
-  }
-  out->node_perms_.erase(dit, out->node_perms_.end());
+  // Node permissions: one merge walk over the reused map nodes.
+  RefillSorted(node_perms_, &out->node_perms_, [](const FramePerm& from, FramePerm* to) {
+    *to = from.CloneForVerification();
+  });
   // COW spec maps: O(1) rep shares. The hashed index copy-assign reuses the
   // destination's bucket array.
   out->node_info_ = node_info_;

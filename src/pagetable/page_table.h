@@ -122,13 +122,11 @@ class PageTable {
   // 8-byte store to a node frame.
   void SetWriteObserver(std::function<void()> observer) { write_observer_ = std::move(observer); }
 
-  // Deep copy for the verification harness; node frames themselves live in
-  // PhysMem and are cloned by the harness alongside.
-  PageTable CloneForVerification(PhysMem* mem) const;
-  // Pooled clone: overwrite `out` (a previously cloned or default-shell
-  // table) in place, reusing its node-permission map nodes and va_index_
-  // buckets. `mem` must already hold this table's node frames (the caller
-  // clones PhysMem first), so no frame bytes move here.
+  // Clone for the verification harness: overwrite `out` (a previously
+  // cloned or default-shell table) in place, reusing its node-permission
+  // map nodes and va_index_ buckets. `mem` must already hold this table's
+  // node frames (the caller clones PhysMem first), so no frame bytes move
+  // here.
   void CloneForVerificationInto(PageTable* out, PhysMem* mem) const;
   // Shell for pooled-clone pools: no root, no permissions; only usable as
   // a CloneForVerificationInto destination.

@@ -27,8 +27,8 @@ void RefinementChecker::EnsureArenas() {
   if (!options_.use_arena || arenas_[0] != nullptr) {
     return;
   }
-  arenas_[0] = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
-  arenas_[1] = std::make_shared<SpecArena>(options_.arena_reserve_bytes);
+  arenas_[0] = std::make_shared<SpecArena>(SpecArena::kDefaultChunkBytes);
+  arenas_[1] = std::make_shared<SpecArena>(SpecArena::kDefaultChunkBytes);
 }
 
 AbstractKernel RefinementChecker::Capture() {

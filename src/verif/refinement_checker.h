@@ -75,12 +75,9 @@ class RefinementChecker {
     // Route the transient Ψ snapshots and spec-check temporaries through a
     // pair of per-checker SpecArenas that ping/pong at audit boundaries
     // (DESIGN.md §14). false = global heap, kept as the measurement
-    // baseline for the allocations-per-step gate.
+    // baseline for the allocations-per-step gate. Each arena reserves one
+    // chunk at the first Step, before that Step's allocation probe starts.
     bool use_arena = true;
-    // Bytes preallocated per arena at first Step (two arenas per checker).
-    // 0 = grow on demand. SweepHarness sets this so shards never touch the
-    // global heap for chunk growth on the hot path.
-    std::size_t arena_reserve_bytes = 0;
   };
 
   RefinementChecker(Kernel* kernel, const Options& options)

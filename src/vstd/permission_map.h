@@ -19,6 +19,7 @@
 #include "src/vstd/check.h"
 #include "src/vstd/dirty_set.h"
 #include "src/vstd/points_to.h"
+#include "src/vstd/sorted_refill.h"
 #include "src/vstd/spec_set.h"
 #include "src/vstd/types.h"
 
@@ -106,34 +107,18 @@ class PermissionMap {
     requires std::copy_constructible<T>
   {
     PermissionMap out;
-    for (const auto& [ptr, perm] : rep_) {
-      out.rep_.emplace(ptr, perm.CloneForVerification());
-    }
+    CloneForVerificationInto(&out);
     return out;
   }
 
   // Pooled clone (DESIGN.md §14): deep-copies this map into `out`, reusing
-  // `out`'s existing map nodes and value storage via a sorted merge walk —
-  // entries present in both maps are overwritten in place, stale entries
-  // erased, missing ones inserted with a position hint. Semantically
-  // identical to `*out = CloneForVerification()` (the differential test
-  // proves it), but steady-state reuse performs no node allocations.
+  // `out`'s map nodes and value storage (RefillSorted).
   void CloneForVerificationInto(PermissionMap* out) const
     requires std::copy_constructible<T>
   {
-    auto dit = out->rep_.begin();
-    for (const auto& [ptr, perm] : rep_) {
-      while (dit != out->rep_.end() && dit->first < ptr) {
-        dit = out->rep_.erase(dit);
-      }
-      if (dit != out->rep_.end() && dit->first == ptr) {
-        dit->second.CloneForVerificationFrom(perm);
-        ++dit;
-      } else {
-        out->rep_.emplace_hint(dit, ptr, perm.CloneForVerification());
-      }
-    }
-    out->rep_.erase(dit, out->rep_.end());
+    RefillSorted(rep_, &out->rep_, [](const PointsTo<T>& from, PointsTo<T>* to) {
+      to->CloneForVerificationFrom(from);
+    });
     out->dirty_.Reset();  // clones start with an empty mutation log
   }
 

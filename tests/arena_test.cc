@@ -225,8 +225,7 @@ TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
   TraceFixture arena_f = TraceFixture::Boot();
   TraceFixture heap_f = TraceFixture::Boot();
   RefinementChecker::Options arena_opt{.check_wf_every = 16, .audit_every = 32,
-                                       .incremental = true, .use_arena = true,
-                                       .arena_reserve_bytes = SpecArena::kDefaultChunkBytes};
+                                       .incremental = true, .use_arena = true};
   RefinementChecker::Options heap_opt{.check_wf_every = 16, .audit_every = 32,
                                       .incremental = true, .use_arena = false};
   RefinementChecker arena_c(&arena_f.kernel, arena_opt);
@@ -276,7 +275,10 @@ TEST(CheckerArenaTest, ArenasRecycleAcrossAuditsAndAgreeWithHeapChecker) {
 // Pooled-vs-fresh CloneForVerification differential
 // ---------------------------------------------------------------------------
 
-TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
+// Runs `gen`'s distribution through unchecked steps, refilling one pooled
+// clone at an odd cadence and requiring each refill to equal a fresh clone.
+// Counts the refills whose state held a borrowed page.
+void RunPooledRefillTrace(TraceGen gen, int* borrowed_refills) {
   TraceFixture f = TraceFixture::Boot();
   f.SetupIpcAndDma();
 
@@ -285,7 +287,6 @@ TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
 
   constexpr int kSteps = 4000;
   constexpr int kCheckEvery = 157;  // odd cadence: refills hit varied states
-  TraceGen gen;
   std::uint64_t refills = 0;
   for (int i = 0; i < kSteps; ++i) {
     TraceGen::Cmd cmd = gen.Gen(f);
@@ -305,8 +306,15 @@ TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
       f.kernel.CloneForVerificationInto(&pooled);
       ++refills;
       // Abstract-state identity: the pooled refill IS a clone.
-      ASSERT_TRUE(pooled.Abstract() == fresh.Abstract()) << "step " << i;
-      ASSERT_TRUE(pooled.Abstract() == f.kernel.Abstract()) << "step " << i;
+      AbstractKernel psi = pooled.Abstract();
+      ASSERT_TRUE(psi == fresh.Abstract()) << "step " << i;
+      ASSERT_TRUE(psi == f.kernel.Abstract()) << "step " << i;
+      for (const auto& [page, info] : psi.pages) {
+        if (info.borrowed) {
+          ++*borrowed_refills;
+          break;
+        }
+      }
       // And a well-formed one.
       ASSERT_TRUE(pooled.TotalWf().ok) << "step " << i;
       // Clone semantics: the pooled copy starts with empty mutation logs.
@@ -333,6 +341,28 @@ TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
     EXPECT_LT(steady_allocs * 10, fresh_allocs)
         << "pooled refill should allocate >=10x less than a fresh clone";
   }
+}
+
+TEST(PooledCloneTest, PooledRefillMatchesFreshCloneOverRandomizedTrace) {
+  int classic_borrowed_refills = 0;
+  {
+    SCOPED_TRACE("classic distribution");
+    RunPooledRefillTrace(TraceGen(), &classic_borrowed_refills);
+  }
+  // The classic distribution creates no rings and no borrow records, so the
+  // ring and borrow refills only run under the sweep's wide distribution.
+  // Few rendezvous complete under this generator, so few borrow grants do:
+  // the seed is one whose trace holds a live loan for ~30% of its steps.
+  TraceGen wide(SplitMix64(5));
+  wide.ring_ops = true;
+  wide.grant_ops = true;
+  wide.obs_ops = true;
+  int borrowed_refills = 0;
+  {
+    SCOPED_TRACE("ring + grant + obs distribution");
+    RunPooledRefillTrace(wide, &borrowed_refills);
+  }
+  EXPECT_GT(borrowed_refills, 0) << "no refill saw a borrowed page";
 }
 
 }  // namespace

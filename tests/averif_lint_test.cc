@@ -97,6 +97,14 @@ TEST(AverifLintTest, IndexNotRefilledInPooledCloneFires) {
   EXPECT_EQ(BinaryExit("--root " + FixtureRoot("index_not_refilled")), 1);
 }
 
+TEST(AverifLintTest, DelegatingFreshCloneOwesNoRebuild) {
+  // CloneForVerification only delegates to CloneForVerificationInto, which
+  // rebuilds the index: the delegating body is not checked on its own.
+  std::vector<Finding> findings = Lint(FixtureRoot("index_clone_delegates"));
+  EXPECT_TRUE(findings.empty()) << ToText(findings, false);
+  EXPECT_EQ(BinaryExit("--root " + FixtureRoot("index_clone_delegates")), 0);
+}
+
 TEST(AverifLintTest, ErrorPathFiresAndHonoursWaiver) {
   std::vector<Finding> findings = Lint(FixtureRoot("error_path"));
   std::vector<Finding> hits = WithRule(findings, "error-path");

@@ -48,7 +48,9 @@ TEST(PacketTest, FinishUdpFrameMatchesBuildUdpFrame) {
     std::size_t built_len = BuildUdpFrame(built, kSrc, kDst, Flow(), payload.data(), plen);
 
     std::uint8_t finished[kMaxFrameLen] = {};
-    std::memcpy(finished + kHeadersLen, payload.data(), plen);  // payload pre-placed
+    if (plen > 0) {  // payload pre-placed; data() may be null when empty
+      std::memcpy(finished + kHeadersLen, payload.data(), plen);
+    }
     std::size_t finished_len = FinishUdpFrame(finished, kSrc, kDst, Flow(), plen);
 
     ASSERT_EQ(finished_len, built_len) << "payload len " << plen;

@@ -13,7 +13,8 @@
 //                        subsystems records into its dirty log, directly or
 //                        via a callee that does (call-graph transitive)
 //   lockstep-index       every hashed index member has a Wf cross-check
-//                        clause and a CloneForVerification rebuild
+//                        clause and is rebuilt by every clone body that does
+//                        not delegate to CloneForVerificationInto
 //   error-path           spec predicates taking the syscall return value
 //                        establish failure atomicity before any Fail(...)
 //

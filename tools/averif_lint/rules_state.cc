@@ -159,16 +159,26 @@ void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings) {
       }
       return false;
     };
-    // Pooled refills rebuild the clone in place (DESIGN.md §14); an index
-    // the refill forgets would leave the pooled clone verifying through
-    // stale pointers, so wherever the Into variant exists it must rebuild
-    // every index the fresh-clone path does. FindIdent matches whole
-    // identifiers, so this is independent of the CloneForVerification check.
+    // Clone bodies that must rebuild every index: CloneForVerificationInto
+    // (the pooled refill, DESIGN.md §14), and CloneForVerification where it
+    // has a body of its own instead of delegating to Into (or no Into exists).
     bool has_into = false;
+    bool own_fresh = false;
     for (const SourceFile* f : {&header, source.ok ? &source : nullptr}) {
-      if (f != nullptr && FunctionBody(*f, "CloneForVerificationInto")) {
-        has_into = true;
+      if (f == nullptr) {
+        continue;
       }
+      has_into = has_into || FunctionBody(*f, "CloneForVerificationInto").has_value();
+      std::optional<Range> fb = FunctionBody(*f, "CloneForVerification");
+      own_fresh = own_fresh ||
+                  (fb && !ContainsIdent(f->code, "CloneForVerificationInto", fb->begin, fb->end));
+    }
+    std::vector<std::string> clones;
+    if (has_into) {
+      clones.push_back("CloneForVerificationInto");
+    }
+    if (own_fresh || !has_into) {
+      clones.push_back("CloneForVerification");
     }
     for (const std::string& member : members) {
       std::size_t decl_line = 0;
@@ -176,33 +186,21 @@ void RuleLockstepIndex(const Options& options, std::vector<Finding>* findings) {
         decl_line = header.LineOf(pos);
         break;
       }
-      bool wf_ok = false;
-      for (const std::string& wf : sub.wf_methods) {
-        if (search_all(wf, member)) {
-          wf_ok = true;
-          break;
-        }
-      }
-      if (!wf_ok) {
+      if (std::none_of(sub.wf_methods.begin(), sub.wf_methods.end(),
+                       [&](const std::string& wf) { return search_all(wf, member); })) {
         AddFinding(findings, header, decl_line, "lockstep-index",
                    sub.class_name + "::" + member +
                        " has no cross-check clause in " + sub.wf_methods.front() + "()",
                    "add a clause to " + sub.class_name + "::" + sub.wf_methods.front() +
                        " proving " + member + " mirrors its ground-truth container");
       }
-      if (!search_all("CloneForVerification", member)) {
-        AddFinding(findings, header, decl_line, "lockstep-index",
-                   sub.class_name + "::" + member +
-                       " is not rebuilt in CloneForVerification()",
-                   "rebuild or copy " + member + " in " + sub.class_name +
-                       "::CloneForVerification so clones verify the same state");
-      }
-      if (has_into && !search_all("CloneForVerificationInto", member)) {
-        AddFinding(findings, header, decl_line, "lockstep-index",
-                   sub.class_name + "::" + member +
-                       " is not rebuilt in CloneForVerificationInto()",
-                   "rebuild " + member + " against the reused nodes in " + sub.class_name +
-                       "::CloneForVerificationInto so pooled refills verify the same state");
+      for (const std::string& clone : clones) {
+        if (!search_all(clone, member)) {
+          AddFinding(findings, header, decl_line, "lockstep-index",
+                     sub.class_name + "::" + member + " is not rebuilt in " + clone + "()",
+                     "rebuild " + member + " in " + sub.class_name + "::" + clone +
+                         " so clones verify the same state");
+        }
       }
     }
   }
